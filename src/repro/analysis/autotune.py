@@ -13,8 +13,6 @@ contiguous size ranges, ready for the runtime's dynamic selection.
 
 from __future__ import annotations
 
-import asyncio
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -213,31 +211,6 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
         result.best[size] = best_candidate
     result._compiled = compiled  # kept for build_registry
     return result
-
-
-async def tune_async(builder: Builder, topology: Topology,
-                     sizes: Sequence[int],
-                     collective_sizing_chunks: int, *,
-                     space: Optional[List[Candidate]] = None,
-                     sim_config: Optional[SimConfig] = None,
-                     jobs: Optional[int] = None, tracer=None,
-                     executor=None) -> TuningResult:
-    """:func:`tune` without blocking the event loop.
-
-    The non-blocking entry point the plan service's background
-    autotuner uses: the whole tuning run is handed to ``executor``
-    (default: the loop's default thread pool), so an asyncio server
-    keeps answering requests while candidates compile and simulate —
-    including in worker processes when ``jobs`` > 1. Awaiting it yields
-    the same bitwise-deterministic :class:`TuningResult` as the
-    synchronous call.
-    """
-    loop = asyncio.get_running_loop()
-    fn = functools.partial(
-        tune, builder, topology, sizes, collective_sizing_chunks,
-        space=space, sim_config=sim_config, jobs=jobs, tracer=tracer,
-    )
-    return await loop.run_in_executor(executor, fn)
 
 
 def build_registry(result: TuningResult,

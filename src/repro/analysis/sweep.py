@@ -13,8 +13,6 @@ order so the parallel table is bitwise-identical to the sequential one.
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -231,21 +229,3 @@ def run_sweep(title: str, sizes: Sequence[int],
         result.add(Series(label=label, sizes=list(sizes),
                           times_us=list(times)))
     return result
-
-
-async def run_sweep_async(title: str, sizes: Sequence[int],
-                          configs: Dict[str, TimeFn], *,
-                          jobs: Optional[int] = None,
-                          tracer=None, executor=None) -> SweepResult:
-    """:func:`run_sweep` without blocking the event loop.
-
-    Hands the whole sweep to ``executor`` (default: the loop's default
-    thread pool) so an asyncio caller — the plan service, a dashboard
-    — stays responsive while points evaluate, including in worker
-    processes when ``jobs`` > 1. Awaiting it yields the same
-    deterministic :class:`SweepResult` as the synchronous call.
-    """
-    loop = asyncio.get_running_loop()
-    fn = functools.partial(run_sweep, title, sizes, configs,
-                           jobs=jobs, tracer=tracer)
-    return await loop.run_in_executor(executor, fn)

@@ -19,7 +19,8 @@ two runtimes against each other:
 * **Engine parity** — the simulator's batched event loop must produce
   a bitwise-identical :class:`~repro.runtime.SimResult` (and the same
   happens-before projection) as the reference generator loop on this
-  IR; any divergence is an ``engine-parity`` witness.
+  IR, both untraced and traced; any divergence is an
+  ``engine-parity`` witness.
 * **Race scan** — conflicting buffer accesses unordered by the IR's
   dependence graph (:mod:`repro.conformance.races`), which names the
   exact racing instruction pair.
@@ -234,26 +235,30 @@ def run_conformance(algo, config: Optional[ConformanceConfig] = None, *,
     # -- batched vs reference simulator engine parity ------------------
     # The batched event loop's contract is bitwise identity with the
     # reference loop; check it on this IR so every algorithm that goes
-    # through conformance also certifies the engine rewrite.
+    # through conformance also certifies the engine rewrite. Untraced
+    # runs take the batched fast body every sweep and tune() uses;
+    # traced runs take the recording body and build the graph.
     if cfg.check_engine_parity:
         topology = cfg.topology or generic(ir.num_ranks, 1)
         report.add_round("engine-parity")
-        runs = {}
-        for engine in ("batched", "reference"):
-            sim = IrSimulator(ir, topology, None,
-                              SimConfig(engine=engine,
-                                        collect_trace=True))
-            runs[engine] = sim.run(chunk_bytes=65536.0)
-        diffs = sim_parity_diffs(runs["batched"], runs["reference"],
-                                 labels=("batched", "reference"))
-        if not diffs and (
-                happens_before_pairs(runs["batched"].graph)
-                != happens_before_pairs(runs["reference"].graph)):
-            diffs = ["engines disagree on the happens-before "
-                     "projection of the execution graph"]
-        for diff in diffs:
-            if not full():
-                report.witnesses.append(Witness("engine-parity", diff))
+        for traced in (False, True):
+            runs = {}
+            for engine in ("batched", "reference"):
+                sim = IrSimulator(ir, topology, None,
+                                  SimConfig(engine=engine,
+                                            collect_trace=traced))
+                runs[engine] = sim.run(chunk_bytes=65536.0)
+            diffs = sim_parity_diffs(runs["batched"], runs["reference"])
+            if traced and not diffs and (
+                    happens_before_pairs(runs["batched"].graph)
+                    != happens_before_pairs(runs["reference"].graph)):
+                diffs = ["engines disagree on the happens-before "
+                         "projection of the execution graph"]
+            mode = "traced" if traced else "untraced"
+            for diff in diffs:
+                if not full():
+                    report.witnesses.append(
+                        Witness("engine-parity", f"{mode}: {diff}"))
 
     def run_with(perm, faults=None) -> IrExecutor:
         executor = new_executor()

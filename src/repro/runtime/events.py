@@ -14,7 +14,7 @@ are built from :class:`Signal` plus plain counters.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 
@@ -118,16 +118,10 @@ class EventLoop:
             raise SimulationError(f"unknown wait request {request!r}")
 
 
-def make_timer(loop: EventLoop) -> Callable[[float], Tuple[str, float]]:
-    """Helper for tests: a delay-request factory bound to a loop."""
-    del loop  # the request format is loop-independent
-    return lambda dt: ("delay", dt)
-
-
 # -- batched engine ---------------------------------------------------------
 #
 # Heap-entry kinds for BatchEventLoop. RESUME carries a thread-block
-# generator's bound ``send``; the other three are *action events*:
+# generator's bound ``send``; the next three are *action events*:
 # plain tuples standing in for the one-shot deliver/free helper
 # processes and semaphore-fence resumptions the reference engine
 # schedules per message / per instruction. Each action fires at a
@@ -139,8 +133,7 @@ RESUME = 0
 DELIVER = 1
 FREE = 2
 SEM = 3
-WAKE = 4
-DIRECT_WAKE = 5
+DIRECT_WAKE = 4
 
 
 class BatchEventLoop:
@@ -172,16 +165,15 @@ class BatchEventLoop:
     Action payloads: ``DELIVER (conn, seq, last_byte)`` records a FIFO
     arrival and wakes ``conn.arrival_signal``; ``FREE (conn, seq)``
     retires a slot and wakes ``conn.slot_signal``; ``SEM (sem, value,
-    signal)`` publishes thread-block progress and wakes dependents;
-    ``WAKE signal`` is a pure notification with no state write — used
-    by the lazy-publication fast path, where producers write visibility
-    times eagerly and only already-blocked consumers need an event.
-    ``DIRECT_WAKE (fire_t, signal)`` is processed inline while actions
-    are pushed and never becomes a heap event: the signal's blocked
-    waiters are re-queued directly at the fact's fire time. This is
-    valid because every fast-path signal has exactly one publishing
-    thread block, so nothing else can wake those waiters between the
-    publication and the fire time.
+    signal)`` publishes thread-block progress and wakes dependents.
+    ``DIRECT_WAKE (fire_t, signal)`` serves the lazy-publication fast
+    path, where producers write visibility times eagerly and only
+    already-blocked consumers need waking. It is processed inline while
+    actions are pushed and never becomes a heap event: the signal's
+    blocked waiters are re-queued directly at the fact's fire time.
+    This is valid because every fast-path signal has exactly one
+    publishing thread block, so nothing else can wake those waiters
+    between the publication and the fire time.
     """
 
     __slots__ = ("now", "tracer", "_queue", "_sequence", "_blocked")
@@ -231,7 +223,7 @@ class BatchEventLoop:
                     seq += 1
                 elif cls is tuple:
                     for akind, at, apayload in req[0]:
-                        if akind == 5:  # DIRECT_WAKE: re-queue waiters
+                        if akind == 4:  # DIRECT_WAKE: re-queue waiters
                             waiters = apayload._waiters
                             apayload._waiters = []
                             blocked -= len(waiters)
@@ -257,9 +249,7 @@ class BatchEventLoop:
                     req._waiters.append((payload, now))
                     blocked += 1
                 continue
-            if kind == 4:  # WAKE: pure notification, payload is the signal
-                signal = payload
-            elif kind == 1:  # DELIVER: FIFO message arrival
+            if kind == 1:  # DELIVER: FIFO message arrival
                 conn = payload[0]
                 conn.arrivals[payload[1]] = payload[2]
                 signal = conn.arrival_signal

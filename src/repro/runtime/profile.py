@@ -109,23 +109,13 @@ def critical_path(result: SimResult, top: int = 10) -> List[str]:
     attributed to a category (compute / link / queue / fifo_stall /
     sem_wait / overhead / launch). The ``top`` largest intervals are
     returned in time order, one formatted line each.
-
-    Results that carry spans but no graph (assembled outside the
-    simulator) fall back to the heaviest instruction occurrences.
     """
-    spans = _instruction_spans(result)
     graph = result.graph
     if graph is None:
-        heaviest = sorted(
-            spans, key=lambda s: s.duration_us, reverse=True,
-        )[:top]
-        return [
-            f"r{s.args['rank']}/tb{s.args['tb']} tile{s.args['tile']} "
-            f"step{s.args['step']} {s.name}: "
-            f"{s.duration_us:.1f}us "
-            f"[{s.start_us:.1f}..{s.end_us:.1f}]"
-            for s in heaviest
-        ]
+        raise RuntimeConfigError(
+            "no execution graph collected; run with "
+            "SimConfig(collect_trace=True) or SimConfig(tracer=...)"
+        )
     steps = sorted(graph.critical_path(),
                    key=lambda s: -s.duration_us)[:top]
     steps.sort(key=lambda s: (s.start_us, s.end_us))

@@ -22,8 +22,7 @@ Two event-loop engines share this model:
 * **reference** is the original one-event-per-occurrence interpreter
   (:meth:`IrSimulator._tb_process` on
   :class:`~repro.runtime.events.EventLoop`), retained as the parity
-  oracle and selectable with ``SimConfig(engine="reference")`` or the
-  ``REPRO_SIM_REFERENCE=1`` environment escape hatch.
+  oracle and selected with ``SimConfig(engine="reference")``.
 
 Both engines produce **bitwise-identical** results — same
 :class:`SimResult` fields, span streams, and
@@ -43,7 +42,6 @@ algorithm.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -57,7 +55,6 @@ from ..observe.graph import (Edge, ExecNode, ExecutionGraph, Segment,
                              _edge_sort_key)
 from ..observe.tracer import Span, Tracer
 from ..topology.model import Resource, Topology
-from . import codegen
 from .events import (DELIVER, FREE, SEM, DIRECT_WAKE, BatchEventLoop,
                      EventLoop, Signal)
 from .protocols import Protocol, get_protocol
@@ -80,7 +77,6 @@ REDUCE_OPS = frozenset({
 LOCAL_OPS = frozenset({Op.COPY, Op.REDUCE})
 
 SIM_ENGINES = ("batched", "reference")
-_REFERENCE_ENV = "REPRO_SIM_REFERENCE"
 
 
 @dataclass
@@ -117,10 +113,8 @@ class SimConfig:
     # that matches no resource the run consults raises SimulationError
     # afterwards rather than silently simulating fault-free.
     degradations: Dict[str, float] = field(default_factory=dict)
-    # Event-loop engine: "batched" or "reference". None resolves from
-    # the REPRO_SIM_REFERENCE environment variable (parity triage
-    # escape hatch), defaulting to "batched".
-    engine: Optional[str] = None
+    # Event-loop engine: "batched", or "reference" for the parity oracle.
+    engine: str = "batched"
 
 
 @dataclass
@@ -330,7 +324,7 @@ class _TbProgram:
     __slots__ = ("rank", "tb_id", "channel", "engine", "engine_bw",
                  "sem", "sem_signal", "n", "watched", "out_conn",
                  "in_conn", "path_pairs", "alpha", "cross", "label",
-                 "recs", "meta", "task")
+                 "recs", "meta")
 
 
 class IrSimulator:
@@ -421,7 +415,7 @@ class IrSimulator:
                     conn.free_times = [None] * total
                 for prog in programs:
                     if prog.recs:
-                        loop.spawn(prog.task(prog, tiles, oh, sem_oh),
+                        loop.spawn(_tb_task_fast(prog, tiles, oh, sem_oh),
                                    at=oh)
             else:
                 for prog in programs:
@@ -496,10 +490,6 @@ class IrSimulator:
     # -- internals --------------------------------------------------------
     def _resolve_engine(self) -> str:
         engine = self.config.engine
-        if engine is None:
-            reference = os.environ.get(_REFERENCE_ENV, "")
-            engine = "reference" if reference not in ("", "0") \
-                else "batched"
         if engine not in SIM_ENGINES:
             raise SimulationError(
                 f"unknown simulator engine {engine!r}; pick one of "
@@ -669,7 +659,6 @@ class IrSimulator:
         reduce_eff = (machine.reduce_bandwidth
                       / machine.threadblock_bandwidth)
         watched = self._watched_tbs()
-        use_codegen = os.environ.get("REPRO_SIM_INTERP", "") in ("", "0")
         programs: List[_TbProgram] = []
         for gpu in self.ir.gpus:
             for tb in gpu.threadblocks:
@@ -786,14 +775,6 @@ class IrSimulator:
                     meta.append((op.value, frozenset(instr.lineage or ())))
                 prog.recs = recs
                 prog.meta = meta
-                # Shape-specialized generator (repro.runtime.codegen);
-                # the interpreter below stays as the fallback and the
-                # REPRO_SIM_INTERP=1 triage path.
-                prog.task = _tb_task_fast
-                if recs and use_codegen:
-                    generated = codegen.task_factory(prog)
-                    if generated is not None:
-                        prog.task = generated
                 programs.append(prog)
         return programs
 
@@ -1191,8 +1172,8 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
             # to the best-known lower bound and re-checks there — the
             # reference loop's own check discipline — and blocks only
             # if the producer still has not reached its check point
-            # (it will see this waiter there and push a WAKE at the
-            # fact's fire time).
+            # (it will see this waiter there and re-queue it with a
+            # DIRECT_WAKE at the fact's fire time).
             for _sem, dep_times, dep_signal, dep_len, base, _tb in deps:
                 target = tile * dep_len + base
                 while len(dep_times) < target:

@@ -22,10 +22,11 @@ metadata — while doing three things no library call gets for free:
   response payloads, so serving is a dict lookup plus a socket write.
 * **Background autotuning.** The first request of a family returns a
   provisional single-candidate plan immediately; a background task
-  then runs :func:`~repro.analysis.autotune.tune_async` over a
-  candidate space (sharded across the worker pool when ``tune_jobs``
-  > 1) and *promotes* the per-size winners into the plan table. Later
-  requests transparently get the tuned plan for their size.
+  then runs :func:`~repro.analysis.autotune.tune` in the service's
+  thread pool over a candidate space (sharded across the worker pool
+  when ``tune_jobs`` > 1) and *promotes* the per-size winners into the
+  plan table. Later requests transparently get the tuned plan for
+  their size.
 
 Counters (requests, hits, dedup, promotions, ...) live in
 :mod:`repro.serve.stats` and surface through
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import algorithms
-from ..analysis.autotune import Candidate, TuningResult, tune_async
+from ..analysis.autotune import Candidate, TuningResult, tune
 from ..core.cache import CompileCache, default_compile_cache
 from ..core.compiler import CompilerOptions, compile_program
 from ..core.errors import MscclError
@@ -485,12 +486,14 @@ class PlanService:
     async def _tune_family(self, family: PlanFamily) -> None:
         bump("tune_runs")
         protocol = family.key[-1]
+        loop = asyncio.get_running_loop()
         try:
-            result = await tune_async(
-                family.builder, family.topology, self.tune_sizes,
-                family.sizing_chunks, space=self._space_for(protocol),
-                jobs=self.tune_jobs, executor=self._executor)
-            spans = await asyncio.get_running_loop().run_in_executor(
+            result = await loop.run_in_executor(
+                self._executor, functools.partial(
+                    tune, family.builder, family.topology,
+                    self.tune_sizes, family.sizing_chunks,
+                    space=self._space_for(protocol), jobs=self.tune_jobs))
+            spans = await loop.run_in_executor(
                 self._executor, _spans_from_tuning, result)
         except asyncio.CancelledError:
             raise

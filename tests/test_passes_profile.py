@@ -10,7 +10,6 @@ from repro.core import (
     audit_ir,
     compile_program,
     ir_stats,
-    optimize_ir,
     prune_redundant_deps,
     renumber_channels,
 )
@@ -106,7 +105,7 @@ class TestRenumberChannels:
     def test_optimize_pipeline_runs(self, hierarchical_ir):
         ir, program = hierarchical_ir
         fresh = MscclIr.from_json(ir.to_json())
-        optimize_ir(fresh)
+        renumber_channels(prune_redundant_deps(fresh))
         IrExecutor(fresh, program.collective).run_and_check()
 
 
@@ -169,6 +168,8 @@ class TestProfiling:
         result = IrSimulator(ir, generic(4, 1)).run(chunk_bytes=1024)
         with pytest.raises(RuntimeConfigError, match="trace"):
             profile_threadblocks(result)
+        with pytest.raises(RuntimeConfigError, match="collect_trace"):
+            critical_path(result)
 
 
 class TestFaultInjection:

@@ -6,8 +6,7 @@ span stream, and the same happens-before projection. These tests
 drive the contract over generated IRs from three families — ring
 allreduce, double binary tree allreduce, and builder-authored
 alltoallv with variable counts — crossed with protocols and config
-variants, plus the escape hatches (``REPRO_SIM_REFERENCE``,
-``REPRO_SIM_INTERP``) the triage path relies on.
+variants. ``SimConfig.engine`` is the only engine selector.
 """
 
 import math
@@ -18,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.build import IrBuilder
 from repro.core import AllToAllV, compile_program
 from repro.core.errors import SimulationError
-from repro.algorithms import double_binary_tree_allreduce, ring_allreduce
+from repro.algorithms import (allpairs_allreduce,
+                              double_binary_tree_allreduce, ring_allreduce)
 from repro.runtime.protocols import LL, LL128, SIMPLE
 from repro.runtime.simulator import (IrSimulator, SimConfig,
                                      happens_before_pairs,
@@ -132,21 +132,9 @@ class TestConfigVariants:
         _assert_parity(ir, ndv4(2), LL, 64.0 * KiB)
 
 
-class TestEscapeHatches:
-    def test_reference_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
-        sim = IrSimulator(self_ir := _family_ir("ring", 4, 0),
-                          generic(self_ir.num_ranks))
-        assert sim._resolve_engine() == "reference"
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "0")
-        assert sim._resolve_engine() == "batched"
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
-        ir = _family_ir("ring", 4, 0)
-        sim = IrSimulator(ir, generic(ir.num_ranks), None,
-                          SimConfig(engine="batched"))
-        assert sim._resolve_engine() == "batched"
+class TestEngineSelection:
+    def test_default_engine_is_batched(self):
+        assert SimConfig().engine == "batched"
 
     def test_unknown_engine_raises(self):
         ir = _family_ir("ring", 4, 0)
@@ -155,17 +143,31 @@ class TestEscapeHatches:
         with pytest.raises(SimulationError, match="warp"):
             sim.run(chunk_bytes=64.0 * KiB)
 
-    def test_interpreter_fallback_matches_codegen(self, monkeypatch):
-        # REPRO_SIM_INTERP=1 turns off source specialization; the
-        # interpreter fast path must stay bitwise-identical too.
-        ir = _family_ir("alltoallv", 4, 2)
-        topo = generic(ir.num_ranks)
-        specialized = IrSimulator(ir, topo).run(chunk_bytes=512.0 * KiB)
-        monkeypatch.setenv("REPRO_SIM_INTERP", "1")
-        interpreted = IrSimulator(ir, topo).run(chunk_bytes=512.0 * KiB)
-        diffs = sim_parity_diffs(interpreted, specialized,
-                                 labels=("interp", "codegen"))
-        assert not diffs, diffs
+
+class TestKnownParityBug:
+    """Pinned: the untraced batched body breaks parity on all-pairs LL.
+
+    When several semaphore waiters wake at the same virtual instant,
+    the untraced fast body reserves a shared link in a different
+    first-come-first-served order than the reference loop (on
+    ``ndv4(1)``, 24 reservations of ``nvlink_out[0]`` at
+    t = 11.0027 us), so the simulated time moves. The traced recording
+    body still matches the reference, which means turning tracing on
+    changes the answer. Strict xfail: fixing the bug flips this test.
+    """
+
+    @pytest.mark.xfail(strict=True,
+                       reason="untraced batched FCFS order differs from "
+                              "the reference on same-instant wakes")
+    @pytest.mark.parametrize("topo, instances, chunks", [
+        (generic(8), 2, 1),  # 4 MiB per chunk: 1540.73 vs 1542.04 us
+        (ndv4(1), 4, None),  # 4 MiB buffer: 120.913 vs 120.870 us
+    ], ids=["generic8-r2", "ndv4-r4"])
+    def test_untraced_allpairs_ll(self, topo, instances, chunks):
+        algo = compile_program(
+            allpairs_allreduce(8, instances=instances, protocol="LL"))
+        chunk_bytes = 4.0 * 1024 * KiB / (chunks or algo.sizing_chunks())
+        _assert_parity(algo.ir, topo, LL, chunk_bytes)
 
 
 class TestTileCountBasis:
