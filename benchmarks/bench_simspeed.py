@@ -2,10 +2,12 @@
 
 Measures simulated instruction-occurrences per second on a canned
 64-rank hierarchical allreduce (8 nodes x 8 GPUs on NDv4, 4 MiB
-chunks) for both event-loop engines, and checks bitwise result parity
-between them while at it.
+chunks) for both event-loop engines, plus the batched engine traced
+(``batched_traced``: spans and execution graph recorded), and checks
+bitwise result parity between the engines and that tracing leaves the
+batched answer unchanged.
 
-Two timings are reported per engine:
+Two timings are reported per row:
 
 * ``cold`` — a fresh :class:`IrSimulator` per run, paying program
   compilation and state construction (what a single one-off run costs),
@@ -14,7 +16,9 @@ Two timings are reported per engine:
   actually sit in.
 
 The headline ``speedup`` is batched-warm over reference-warm
-occurrences/sec. ``--assert-speedup X`` fails the process below X;
+occurrences/sec. The process fails if the engines disagree or the
+traced run's time differs from the untraced one's.
+``--assert-speedup X`` fails the process below X;
 ``--check-against FILE`` fails if that warm speedup fell more than 20%
 below the speedup in a previously committed baseline (the CI smoke
 job's knob). Both engines run on the same machine, so the ratio is
@@ -59,8 +63,9 @@ def run_bench(repeats: int = 3, warm_repeats: int = 5) -> dict:
         hierarchical_allreduce(NODES, GPUS, instances=INSTANCES)).ir
     topo = presets.ndv4(NODES)
 
-    def fresh(engine: str):
-        return IrSimulator(ir, topo, None, SimConfig(engine=engine))
+    def fresh(engine: str, traced: bool = False):
+        return IrSimulator(ir, topo, None, SimConfig(
+            engine=engine, collect_trace=traced))
 
     report: dict = {
         "config": {
@@ -73,14 +78,17 @@ def run_bench(repeats: int = 3, warm_repeats: int = 5) -> dict:
         "engines": {},
     }
     results = {}
-    for engine in ("reference", "batched"):
-        cold = _best(lambda: fresh(engine).run(CHUNK_BYTES), repeats)
-        sim = fresh(engine)
+    for row, engine, traced in (("reference", "reference", False),
+                                ("batched", "batched", False),
+                                ("batched_traced", "batched", True)):
+        cold = _best(lambda: fresh(engine, traced).run(CHUNK_BYTES),
+                     repeats)
+        sim = fresh(engine, traced)
         result = sim.run(CHUNK_BYTES)
         warm = _best(lambda: sim.run(CHUNK_BYTES), warm_repeats)
-        results[engine] = result
+        results[row] = result
         occurrences = result.instruction_count * result.tiles
-        report["engines"][engine] = {
+        report["engines"][row] = {
             "cold_s": cold,
             "warm_s": warm,
             "occurrences": occurrences,
@@ -94,6 +102,12 @@ def run_bench(repeats: int = 3, warm_repeats: int = 5) -> dict:
     report["speedup_warm"] = bat["ips_warm"] / ref["ips_warm"]
     report["speedup_cold"] = bat["ips_cold"] / ref["ips_cold"]
     report["parity"] = "ok" if not diffs else diffs
+    traced = results["batched_traced"]
+    report["tracing"] = (
+        "ok" if (traced.time_us, traced.resource_busy_us)
+        == (results["batched"].time_us, results["batched"].resource_busy_us)
+        else f"traced {traced.time_us!r} us vs untraced "
+             f"{results['batched'].time_us!r} us")
     return report
 
 
@@ -102,13 +116,13 @@ def print_report(report: dict) -> None:
     print(f"simspeed: {cfg['algorithm']} on {cfg['topology']} "
           f"({cfg['ranks']} ranks, {int(cfg['chunk_bytes'])} B chunks)")
     for engine, row in report["engines"].items():
-        print(f"  {engine:>9}: cold {row['cold_s'] * 1e3:8.1f} ms "
+        print(f"  {engine:>14}: cold {row['cold_s'] * 1e3:8.1f} ms "
               f"({row['ips_cold']:10.0f} occ/s)   "
               f"warm {row['warm_s'] * 1e3:8.1f} ms "
               f"({row['ips_warm']:10.0f} occ/s)")
     print(f"  speedup (warm ips): {report['speedup_warm']:.2f}x   "
           f"(cold ips): {report['speedup_cold']:.2f}x")
-    print(f"  parity: {report['parity']}")
+    print(f"  parity: {report['parity']}   tracing: {report['tracing']}")
 
 
 def main(argv=None) -> int:
@@ -135,6 +149,8 @@ def main(argv=None) -> int:
     failures = []
     if report["parity"] != "ok":
         failures.append("engines disagree on SimResult")
+    if report["tracing"] != "ok":
+        failures.append(f"tracing changed the answer: {report['tracing']}")
     if (args.assert_speedup is not None
             and report["speedup_warm"] < args.assert_speedup):
         failures.append(

@@ -235,9 +235,9 @@ def run_conformance(algo, config: Optional[ConformanceConfig] = None, *,
     # -- batched vs reference simulator engine parity ------------------
     # The batched event loop's contract is bitwise identity with the
     # reference loop; check it on this IR so every algorithm that goes
-    # through conformance also certifies the engine rewrite. Untraced
-    # runs take the batched fast body every sweep and tune() uses;
-    # traced runs take the recording body and build the graph.
+    # through conformance also certifies the engine rewrite. Traced and
+    # untraced batched runs share one thread-block body; the traced
+    # comparison also covers the spans and the execution graph.
     if cfg.check_engine_parity:
         topology = cfg.topology or generic(ir.num_ranks, 1)
         report.add_round("engine-parity")

@@ -8,8 +8,12 @@ SHA-256 digest of the program's trace content — the chunk-DAG
 operations, the collective's shape, the protocol and instance count —
 plus every :class:`~repro.core.compiler.CompilerOptions` field that can
 change the produced IR (including the scheduler policy's
-``policy_key``). Tracers, validation, and dump settings are
-deliberately excluded: they never change the output.
+``policy_key`` and the pass pipeline), salted with the compiler's own
+identity (:func:`compiler_digest`). Tracers, validation, and dump
+settings are deliberately excluded: they never change the output. A
+compile through a pass or scheduler policy defined outside
+``repro.core`` is keyed :data:`MEMORY_ONLY` instead, because the
+digest does not cover that code: it never reaches the disk tier.
 
 Two tiers:
 
@@ -37,6 +41,7 @@ the compile's tracer (``compile_cache.hits`` / ``compile_cache.misses``
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -51,7 +56,12 @@ from .collectives import (AllGather, AllReduce, AllToAll, AllToNext,
                           Broadcast, Collective, Gather, Reduce,
                           ReduceScatter, Scatter)
 from .ir import MscclIr
+from .pipeline import default_pipeline
 from .program import MSCCLProgram
+
+#: Version of the serialized IR a cache entry holds; part of every key
+#: (via :func:`compiler_digest`). Bump it when the IR JSON changes shape.
+IR_FORMAT_VERSION = 1
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -126,11 +136,17 @@ def _span_key(span):
 
 
 def options_digest(options) -> str:
-    """A stable key over every output-affecting CompilerOptions field."""
+    """A stable key over every output-affecting CompilerOptions field.
+
+    The pass list counts: a custom ``pipeline`` (a pass removed,
+    replaced or added) keys by its pass names and classes, and the
+    default pipeline keys the same whether passed explicitly or not.
+    """
     scheduler = getattr(options, "scheduler", None)
     policy_key = ("default" if scheduler is None
                   else getattr(scheduler, "policy_key",
                                type(scheduler).__qualname__))
+    pipeline = getattr(options, "pipeline", None) or default_pipeline()
     doc = {
         "instr_fusion": options.instr_fusion,
         "verify": options.verify,
@@ -139,8 +155,47 @@ def options_digest(options) -> str:
         "max_threadblocks": options.max_threadblocks,
         "num_slots": options.num_slots,
         "scheduler": policy_key,
+        "pipeline": [
+            [p.name, f"{type(p).__module__}.{type(p).__qualname__}"]
+            for p in pipeline.passes
+        ],
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+@functools.lru_cache(maxsize=None)
+def compiler_digest() -> str:
+    """SHA-256 over the ``repro.core`` sources and :data:`IR_FORMAT_VERSION`.
+
+    Salts every cache key, so a persistent tier never serves an IR that
+    older pass code produced (or one serialized in an older format).
+    Computed once per process.
+    """
+    digest = hashlib.sha256(f"ir-format {IR_FORMAT_VERSION}".encode())
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+#: First component of the key of a compile that runs code outside
+#: ``repro.core`` (a custom pass or scheduler policy). The
+#: :func:`compiler_digest` cannot vouch for that code, so such entries
+#: stay in the memory tier, like custom collectives.
+MEMORY_ONLY = "memory-only"
+
+
+def compiler_salt(options) -> str:
+    """:func:`compiler_digest`, or :data:`MEMORY_ONLY` for custom code."""
+    pipeline = getattr(options, "pipeline", None)
+    code = list(pipeline.passes) if pipeline is not None else []
+    scheduler = getattr(options, "scheduler", None)
+    if scheduler is not None:
+        code.append(scheduler)
+    if all(type(obj).__module__.startswith(__package__ + ".")
+           for obj in code):
+        return compiler_digest()
+    return MEMORY_ONLY
 
 
 # Collectives a disk entry can round-trip: plain shape parameters fully
@@ -243,6 +298,9 @@ class DiskCacheTier:
         return self.directory / f"{digest}.json"
 
     def lookup(self, key: str) -> Optional[CacheEntry]:
+        if key.startswith(MEMORY_ONLY + "/"):
+            self._bump("misses")
+            return None
         path = self.path_for(key)
         try:
             text = path.read_text()
@@ -278,9 +336,10 @@ class DiskCacheTier:
             setattr(self, counter, getattr(self, counter) + 1)
 
     def store(self, key: str, entry: CacheEntry) -> bool:
-        """Persist one entry; False if its collective cannot round-trip."""
+        """Persist one entry; False if its collective cannot round-trip
+        or its key is :data:`MEMORY_ONLY`."""
         doc_collective = collective_to_doc(entry.collective)
-        if doc_collective is None:
+        if doc_collective is None or key.startswith(MEMORY_ONLY + "/"):
             return False
         payload = json.dumps({
             "key": key,
@@ -430,7 +489,8 @@ class CompileCache:
         self._tier_local.tier = tier
 
     def key_for(self, program: MSCCLProgram, options) -> str:
-        return program_digest(program) + "/" + options_digest(options)
+        return "/".join((compiler_salt(options), program_digest(program),
+                         options_digest(options)))
 
     def lookup(self, key: str) -> Optional[CacheEntry]:
         """The entry for ``key`` (bumping hit/miss counters)."""

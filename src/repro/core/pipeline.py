@@ -148,6 +148,11 @@ class Pass:
     validates), override :meth:`enabled` when the pass is gated by a
     :class:`~repro.core.compiler.CompilerOptions` knob, and implement
     :meth:`run`, which mutates the state in place.
+
+    The compile cache identifies a pass by its name and class only, so
+    a pass configured through constructor arguments must encode them in
+    :attr:`name`. Compiles through passes defined outside
+    ``repro.core`` stay in the cache's memory tier.
     """
 
     name: str = "pass"
@@ -216,7 +221,9 @@ class SchedulerPolicy:
     priority functions) subclass this and land in
     ``CompilerOptions.scheduler``. :attr:`policy_key` participates in
     the compile-cache key, so two compiles of the same program under
-    different policies never alias.
+    different policies never alias; it must encode any parameters the
+    policy is constructed with. Compiles under a policy defined outside
+    ``repro.core`` stay in the cache's memory tier.
     """
 
     policy_key: str = "default"

@@ -9,14 +9,24 @@ Processes are Python generators that yield wait requests:
 The engine keeps a single priority queue of pending resumptions. This is
 all the machinery the MSCCL-IR interpreter needs: semaphores and FIFOs
 are built from :class:`Signal` plus plain counters.
+
+**Same-instant order.** Resumptions due at the same virtual time run by
+the ``order`` their process was spawned with, lowest first. Processes
+spawned without one and ``call_at`` actions are *publications*
+(:data:`PUBLISH`): they run first, in the order they were scheduled.
+The simulator spawns thread block ``i`` with order ``i``, so links
+reached at once are reserved in (rank, thread block) order.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..core.errors import SimulationError
+
+#: ``order`` of a process spawned without one: see the module docstring.
+PUBLISH = -1
 
 
 class Signal:
@@ -24,7 +34,7 @@ class Signal:
 
     ``label`` names the wait class ("fifo_arrival", "fifo_slot",
     "semaphore", ...) so a tracing event loop can attribute blocked
-    time to it.
+    time to it. Waiters are ``(order, process, since)`` entries.
     """
 
     __slots__ = ("_waiters", "label")
@@ -33,8 +43,9 @@ class Signal:
         self._waiters: List = []
         self.label = label
 
-    def add_waiter(self, process, since: float = 0.0) -> None:
-        self._waiters.append((process, since))
+    def add_waiter(self, process, since: float = 0.0,
+                   order: int = PUBLISH) -> None:
+        self._waiters.append((order, process, since))
 
     def take_waiters(self) -> List:
         waiters, self._waiters = self._waiters, []
@@ -53,34 +64,46 @@ class EventLoop:
     def __init__(self, tracer=None) -> None:
         self.now = 0.0
         self.tracer = tracer
-        self._queue: List[Tuple[float, int, Iterator]] = []
+        # (time, order, sequence, resume): ``resume`` is a process's
+        # ``__next__``, or a call_at action (which returns None).
+        self._queue: List[Tuple[float, int, int, Callable]] = []
         self._sequence = 0
         self._active = 0
         self._blocked = 0
 
-    def spawn(self, process: Iterator, at: Optional[float] = None) -> None:
-        """Register a generator process; it starts at ``at`` (default now)."""
-        self._active += 1
-        self._push(self.now if at is None else at, process)
+    def spawn(self, process: Iterator, at: Optional[float] = None,
+              order: int = PUBLISH) -> None:
+        """Register a generator process; it starts at ``at`` (default now).
 
-    def _push(self, time: float, process: Iterator) -> None:
+        ``order`` ranks its resumptions among those due at the same
+        instant (see the module docstring).
+        """
+        self._active += 1
+        self._push(self.now if at is None else at, order, process.__next__)
+
+    def call_at(self, time: float, action: Callable[[], None]) -> None:
+        """Run ``action()`` once at ``time``, as a publication."""
+        self._active += 1
+        self._push(time, PUBLISH, action)
+
+    def _push(self, time: float, order: int, resume: Callable) -> None:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}"
             )
-        heapq.heappush(self._queue, (time, self._sequence, process))
+        heapq.heappush(self._queue, (time, order, self._sequence, resume))
         self._sequence += 1
 
     def notify(self, signal: Signal) -> None:
         """Wake every process waiting on the signal (at the current time)."""
-        for process, since in signal.take_waiters():
+        for order, resume, since in signal.take_waiters():
             self._blocked -= 1
             if self.tracer is not None and signal.label:
                 self.tracer.add_counter(
                     f"wait.{signal.label}_us", self.now - since,
                     t_us=self.now,
                 )
-            self._push(self.now, process)
+            self._push(self.now, order, resume)
 
     def run(self) -> float:
         """Run to completion; returns the final virtual time.
@@ -89,9 +112,9 @@ class EventLoop:
         that will never be notified (a deadlock).
         """
         while self._queue:
-            time, _seq, process = heapq.heappop(self._queue)
+            time, order, _seq, resume = heapq.heappop(self._queue)
             self.now = time
-            self._step(process)
+            self._step(resume, order)
         if self._blocked:
             raise SimulationError(
                 f"simulation deadlocked: {self._blocked} processes are "
@@ -99,20 +122,22 @@ class EventLoop:
             )
         return self.now
 
-    def _step(self, process: Iterator) -> None:
+    def _step(self, resume: Callable, order: int) -> None:
         try:
-            request = next(process)
+            request = resume()
         except StopIteration:
+            request = None
+        if request is None:  # a finished process or a call_at action
             self._active -= 1
             return
         kind = request[0]
         if kind == "delay":
-            self._push(self.now + request[1], process)
+            self._push(self.now + request[1], order, resume)
         elif kind == "at":
-            self._push(max(self.now, request[1]), process)
+            self._push(max(self.now, request[1]), order, resume)
         elif kind == "wait":
             signal = request[1]
-            signal.add_waiter(process, since=self.now)
+            signal.add_waiter(resume, since=self.now, order=order)
             self._blocked += 1
         else:
             raise SimulationError(f"unknown wait request {request!r}")
@@ -120,80 +145,60 @@ class EventLoop:
 
 # -- batched engine ---------------------------------------------------------
 #
-# Heap-entry kinds for BatchEventLoop. RESUME carries a thread-block
-# generator's bound ``send``; the next three are *action events*:
-# plain tuples standing in for the one-shot deliver/free helper
-# processes and semaphore-fence resumptions the reference engine
-# schedules per message / per instruction. Each action fires at a
-# precomputed virtual time, performs one state write, and wakes the
-# relevant signal's waiters — the same times and the same effects as
-# the reference loop, with one heap event instead of a generator
-# round-trip.
-RESUME = 0
-DELIVER = 1
-FREE = 2
-SEM = 3
-DIRECT_WAKE = 4
+# The action kind for BatchEventLoop: a ``(DIRECT_WAKE, fire_t, signal)``
+# tuple that a process hands the loop along with its next wait request.
+# It re-queues the signal's blocked waiters at ``fire_t`` and never
+# becomes a heap event itself. Producers publish FIFO arrivals, slot
+# retirements and semaphore progress as virtual times instead of
+# scheduling events, so this is the only action the batched simulator
+# needs.
+DIRECT_WAKE = 1
 
 
 class BatchEventLoop:
     """The slimmed event engine behind the batched simulator.
 
-    Scheduling discipline matches :class:`EventLoop`: one priority
-    queue ordered by ``(time, sequence)``, notified waiters re-queued
-    at the notify time in list order. What changes is the cost per
-    simulated instruction occurrence:
-
-    * thread-block processes are primed generators driven by
-      ``send(now)`` — the current virtual time rides the resumption
-      instead of being re-read from the loop,
-    * FIFO deliver/free bookkeeping and semaphore publication become
-      pooled *action events* pushed directly at their precomputed fire
-      times, so an unblocked occurrence costs a single generator
-      resumption instead of three (overhead, release, fence) plus
-      helper-process churn.
+    Same-instant order matches :class:`EventLoop`: resumptions due at
+    the same time run by their process's ``order``. Every process is an
+    ordered thread block with its own ``order`` and at most one pending
+    resumption, so a heap entry is just ``(time, order, send)``. What
+    changes is the cost per simulated instruction occurrence:
+    thread-block processes are primed generators driven by
+    ``send(now)`` — the current virtual time rides the resumption
+    instead of being re-read from the loop — and, because facts are
+    published as virtual times rather than delivered by events, an
+    unblocked occurrence costs a single generator resumption. Facts are
+    published no later than they become true, which is what the
+    reference loop's publications-first rule gives its consumers.
 
     Processes yield one of:
 
     * ``t`` (float) — resume at ``max(now, t)``,
-    * ``signal`` — block until the signal is notified,
-    * ``(actions, t | signal | None)`` — push each ``(kind, fire_t,
-      payload)`` action event at ``max(now, fire_t)``, then resume at
-      float ``t``, block on the signal, or (``None``) stop scheduling
-      this process beyond the pushed actions.
+    * ``signal`` — block until a DIRECT_WAKE action names the signal,
+    * ``(actions, t | signal)`` — apply each ``(DIRECT_WAKE, fire_t,
+      signal)`` action, then resume at float ``t`` or block on the
+      signal.
 
-    Action payloads: ``DELIVER (conn, seq, last_byte)`` records a FIFO
-    arrival and wakes ``conn.arrival_signal``; ``FREE (conn, seq)``
-    retires a slot and wakes ``conn.slot_signal``; ``SEM (sem, value,
-    signal)`` publishes thread-block progress and wakes dependents.
-    ``DIRECT_WAKE (fire_t, signal)`` serves the lazy-publication fast
-    path, where producers write visibility times eagerly and only
-    already-blocked consumers need waking. It is processed inline while
-    actions are pushed and never becomes a heap event: the signal's
-    blocked waiters are re-queued directly at the fact's fire time.
-    This is valid because every fast-path signal has exactly one
-    publishing thread block, so nothing else can wake those waiters
-    between the publication and the fire time.
+    A DIRECT_WAKE re-queues the signal's blocked waiters straight at
+    ``max(now, fire_t)``. This is valid because every signal has
+    exactly one publishing thread block, so nothing else can wake those
+    waiters between the publication and the fire time.
     """
 
-    __slots__ = ("now", "tracer", "_queue", "_sequence", "_blocked")
+    __slots__ = ("now", "_queue", "_blocked")
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        self.tracer = tracer
         self._queue: List[tuple] = []
-        self._sequence = 0
         self._blocked = 0
 
-    def spawn(self, process, at: Optional[float] = None) -> None:
-        """Prime a generator process; first resumption at ``at``."""
+    def spawn(self, process, at: float, order: int) -> None:
+        """Prime a generator process; first resumption at ``at``.
+
+        ``order`` must be distinct per process.
+        """
         process.send(None)
-        heapq.heappush(
-            self._queue,
-            (self.now if at is None else at, self._sequence, RESUME,
-             process.send),
-        )
-        self._sequence += 1
+        heapq.heappush(self._queue, (at, order, process.send))
 
     def run(self) -> float:
         """Run to completion; returns the final virtual time.
@@ -205,78 +210,32 @@ class BatchEventLoop:
         queue = self._queue
         push = heapq.heappush
         pop = heapq.heappop
-        tracer = self.tracer
-        seq = self._sequence
         blocked = self._blocked
         now = self.now
         while queue:
-            now, _s, kind, payload = pop(queue)
-            if kind == 0:  # RESUME: payload is the generator's send
-                try:
-                    req = payload(now)
-                except StopIteration:
-                    continue
-                cls = type(req)
-                if cls is float:
-                    push(queue, (req if req > now else now, seq, 0,
-                                 payload))
-                    seq += 1
-                elif cls is tuple:
-                    for akind, at, apayload in req[0]:
-                        if akind == 4:  # DIRECT_WAKE: re-queue waiters
-                            waiters = apayload._waiters
-                            apayload._waiters = []
-                            blocked -= len(waiters)
-                            t = at if at > now else now
-                            for waiter, _since in waiters:
-                                push(queue, (t, seq, 0, waiter))
-                                seq += 1
-                        else:
-                            push(queue, (at if at > now else now, seq,
-                                         akind, apayload))
-                            seq += 1
-                    t = req[1]
-                    if t is None:
-                        continue
-                    if type(t) is float:
-                        push(queue, (t if t > now else now, seq, 0,
-                                     payload))
-                        seq += 1
-                    else:  # Signal: push actions, then block
-                        t._waiters.append((payload, now))
-                        blocked += 1
-                else:  # Signal: block until notified
-                    req._waiters.append((payload, now))
-                    blocked += 1
+            now, order, send = pop(queue)
+            try:
+                req = send(now)
+            except StopIteration:
                 continue
-            if kind == 1:  # DELIVER: FIFO message arrival
-                conn = payload[0]
-                conn.arrivals[payload[1]] = payload[2]
-                signal = conn.arrival_signal
-            elif kind == 2:  # FREE: FIFO slot retired
-                conn = payload[0]
-                conn.consumed.add(payload[1])
-                conn.consumed_count += 1
-                signal = conn.slot_signal
-            else:  # SEM: publish thread-block progress
-                payload[0].value = payload[1]
-                signal = payload[2]
-            waiters = signal._waiters
-            if waiters:
-                signal._waiters = []
-                blocked -= len(waiters)
-                if tracer is not None:
-                    label = signal.label
-                    for waiter, since in waiters:
-                        tracer.add_counter(f"wait.{label}_us",
-                                           now - since, t_us=now)
-                        push(queue, (now, seq, 0, waiter))
-                        seq += 1
-                else:
-                    for waiter, _since in waiters:
-                        push(queue, (now, seq, 0, waiter))
-                        seq += 1
-        self._sequence = seq
+            cls = type(req)
+            if cls is float:
+                push(queue, (req if req > now else now, order, send))
+                continue
+            if cls is tuple:
+                for _akind, at, signal in req[0]:  # DIRECT_WAKE
+                    waiters = signal._waiters
+                    signal._waiters = []
+                    blocked -= len(waiters)
+                    t = at if at > now else now
+                    for w_order, waiter, _since in waiters:
+                        push(queue, (t, w_order, waiter))
+                req = req[1]
+                if type(req) is float:
+                    push(queue, (req if req > now else now, order, send))
+                    continue
+            req._waiters.append((order, send, now))  # Signal: block
+            blocked += 1
         self._blocked = blocked
         self.now = now
         if blocked:

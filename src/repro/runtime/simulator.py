@@ -15,10 +15,12 @@ Two event-loop engines share this model:
   into a :class:`_TbProgram` — per-step payload bytes vectorized with
   numpy, dependence targets resolved via
   :func:`repro.core.verification.dependence_edges`, bandwidth
-  denominators folded into constants — and drives slim ``send(now)``
-  generators on :class:`~repro.runtime.events.BatchEventLoop`, whose
-  pooled action events replace the reference loop's per-message helper
-  processes.
+  denominators folded into constants — and drives one slim
+  ``send(now)`` generator body, :func:`_tb_task_fast`, per thread block
+  on :class:`~repro.runtime.events.BatchEventLoop`. Traced and untraced
+  runs share that body: recording sits behind ``graph is not None``
+  guards and only reads values the body computed anyway, so tracing
+  can never change the simulated time.
 * **reference** is the original one-event-per-occurrence interpreter
   (:meth:`IrSimulator._tb_process` on
   :class:`~repro.runtime.events.EventLoop`), retained as the parity
@@ -29,19 +31,25 @@ Both engines produce **bitwise-identical** results — same
 :class:`~repro.observe.ExecutionGraph` — because they issue the same
 float arithmetic at the same virtual times: every wait check, resource
 reservation, and state write fires at exactly the virtual time the
-reference loop would schedule it. The batched engine gets its
-throughput from collapsing the reference loop's three generator
-resumptions per occurrence (overhead, release, semaphore fence) into
-one, with FIFO delivery and semaphore publication pushed as pooled
-action events at their precomputed fire times.
-:func:`sim_parity_diffs` checks the equivalence field by field, and
-the differential conformance harness enforces it on every zoo
-algorithm.
+reference loop would schedule it, and in the same order within an
+instant: both loops apply the facts due at an instant first and then
+run thread blocks in (rank, thread block) order, so FCFS links reached
+by several thread blocks at once are reserved identically (see
+:mod:`repro.runtime.events`). The batched engine gets its throughput
+from collapsing the reference loop's per-occurrence events — two
+thread-block resumptions plus a helper process per FIFO delivery, slot
+retirement and semaphore publication — into one resumption: FIFO
+arrivals, slot retirements, and semaphore progress are published
+eagerly as the virtual times they become true instead of being
+scheduled as events. :func:`sim_parity_diffs` checks the equivalence
+field by field, and the differential conformance harness enforces it
+on every zoo algorithm.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -55,8 +63,7 @@ from ..observe.graph import (Edge, ExecNode, ExecutionGraph, Segment,
                              _edge_sort_key)
 from ..observe.tracer import Span, Tracer
 from ..topology.model import Resource, Topology
-from .events import (DELIVER, FREE, SEM, DIRECT_WAKE, BatchEventLoop,
-                     EventLoop, Signal)
+from .events import DIRECT_WAKE, BatchEventLoop, EventLoop, Signal
 from .protocols import Protocol, get_protocol
 
 FUSED_SEND_OPS = frozenset({
@@ -90,7 +97,7 @@ class SimConfig:
 
     ``tracer`` (a :class:`repro.observe.Tracer`) records one span per
     executed instruction occurrence on a ``("rank R", "tb T")`` track,
-    FIFO-stall/semaphore-wait counters sampled from the event loop, and
+    FIFO-stall/semaphore-wait counters recorded at each wait, and
     per-link busy-time counters. ``collect_trace`` is the lightweight
     switch: it provisions a private tracer so the profiling helpers in
     :mod:`repro.runtime.profile` work without any exporter setup.
@@ -269,14 +276,15 @@ class _Connection:
 class _Semaphore:
     """Per-thread-block monotone progress counter (paper Figure 5).
 
-    ``times`` is the fast path's lazy-publication view of the counter:
-    entry ``k`` is the virtual time the value reaches ``k + 1`` (the
-    occurrence's fence boundary), appended by the owning thread block
-    at its check point. Dependents compare ``len(times)`` against their
-    wait target and sleep until the published boundary — the value
-    becomes visible at exactly the time the reference loop's fence
-    resumption would write it. The recording path (and the reference
-    engine) use ``value`` written at the boundary instead.
+    ``times`` is the batched engine's lazy-publication view of the
+    counter: entry ``k`` is the virtual time the value reaches ``k + 1``
+    (the occurrence's fence boundary), appended by the owning thread
+    block at its check point. Dependents compare ``len(times)`` against
+    their wait target and sleep until the published boundary — the
+    value becomes visible at exactly the time the reference loop's
+    publication process writes it. A traced run finds a wait's releaser
+    as the last entry published at or before the wake. The reference
+    engine uses ``value`` written at the boundary instead.
     """
 
     __slots__ = ("value", "times", "signal")
@@ -299,32 +307,27 @@ class _TbProgram:
     per-step payload bytes (numpy-vectorized), dependence semaphores and
     wait targets, FIFO endpoints, per-resource bandwidth denominators,
     the per-message wire overhead — so the per-occurrence work left in
-    the generators is pure float arithmetic plus queue operations.
+    the generator is pure float arithmetic plus queue operations.
 
     ``recs`` holds one tuple per instruction::
 
-        (deps, receives, sends, local, fused, direct_recv, nbytes,
-         recv_seq, wire_overhead, consume_denom, step1, has_dep,
-         consume_dur, produce_dur, path_durs)
+        (deps, receives, sends, local, fused, direct_recv, recv_seq,
+         has_dep, consume_dur, produce_dur, path_durs, meta)
 
-    where ``deps`` is ``((sem, sem.times, signal, dep_len,
-    dep_step + 1, dep_tb), ...)``, ``consume_denom`` is the copy
-    engine's effective bandwidth
-    for the consume/compute pass, and ``wire_overhead`` is the
-    per-tile share of the InfiniBand per-message cost (``None`` marks
-    the zero-byte cross-node send the reference engine rejects with a
-    ZeroDivisionError; ``path_durs`` is then ``None`` too). The last
-    three fields are the tile-invariant service durations with the
-    divisions folded in at compile time — the fast path's whole
-    per-occurrence arithmetic is adds and comparisons. ``meta``
-    carries the per-instruction ``(op_value, lineage)`` pairs only the
-    traced path needs.
+    where ``deps`` is ``((sem.times, signal, dep_len, dep_step + 1,
+    dep_tb), ...)``. ``consume_dur``, ``produce_dur`` and ``path_durs``
+    (``((resource, duration), ...)``) are the tile-invariant service
+    durations with the divisions folded in at compile time — the whole
+    per-occurrence arithmetic is adds and comparisons. ``path_durs`` is
+    ``None`` for the zero-byte cross-node send the reference engine
+    rejects with a ZeroDivisionError. ``meta`` is the
+    ``(step, op_value, lineage, nbytes)`` only a traced run reads, and
+    ``rank``/``tb_id``/``channel``/``label`` likewise serve the recorder.
     """
 
-    __slots__ = ("rank", "tb_id", "channel", "engine", "engine_bw",
-                 "sem", "sem_signal", "n", "watched", "out_conn",
-                 "in_conn", "path_pairs", "alpha", "cross", "label",
-                 "recs", "meta")
+    __slots__ = ("rank", "tb_id", "channel", "sem", "sem_signal",
+                 "watched", "out_conn", "in_conn", "alpha", "cross",
+                 "label", "recs")
 
 
 class IrSimulator:
@@ -379,17 +382,20 @@ class IrSimulator:
 
         spans = [] if tracer is not None else None
         graph = ExecutionGraph() if tracer is not None else None
+        # Both engines give thread block i (rank-major) same-instant
+        # order i, so shared links are reserved in the same order.
         if engine_name == "reference":
             loop = EventLoop(tracer=tracer)
-            for gpu in self.ir.gpus:
-                for tb in gpu.threadblocks:
-                    loop.spawn(self._tb_process(
-                        loop, gpu.rank, tb, tiles, chunk_bytes,
-                        connections, semaphores, engines, tb_lengths,
-                        tracer, spans, graph,
-                    ))
+            tbs = [(gpu.rank, tb) for gpu in self.ir.gpus
+                   for tb in gpu.threadblocks]
+            for order, (rank, tb) in enumerate(tbs):
+                loop.spawn(self._tb_process(
+                    loop, rank, tb, tiles, chunk_bytes,
+                    connections, semaphores, engines, tb_lengths,
+                    tracer, spans, graph,
+                ), order=order)
         else:
-            loop = BatchEventLoop(tracer=tracer)
+            loop = BatchEventLoop()
             key = (chunk_bytes, tiles)
             programs = self._program_cache.get(key)
             if programs is None:
@@ -404,26 +410,19 @@ class IrSimulator:
             # launch — where the reference loop's first overhead delay
             # resumes. Empty thread blocks never touch shared state in
             # either engine, so they are not spawned at all.
-            if tracer is None:
-                # Fresh dense publication maps, sized for this run's
-                # tile count; spawning (which primes the generators,
-                # binding these lists) must come after.
-                for conn in connections.values():
-                    total = conn.sends_per_tile * tiles
-                    conn.arrival_first = [None] * total
-                    conn.arrival_last = [None] * total
-                    conn.free_times = [None] * total
-                for prog in programs:
-                    if prog.recs:
-                        loop.spawn(_tb_task_fast(prog, tiles, oh, sem_oh),
-                                   at=oh)
-            else:
-                for prog in programs:
-                    if prog.recs:
-                        loop.spawn(_tb_task_recording(
-                            prog, tiles, oh, sem_oh, tracer, spans,
-                            graph,
-                        ), at=oh)
+            # Fresh dense publication maps, sized for this run's tile
+            # count; spawning (which primes the generators, binding
+            # these lists) must come after.
+            for conn in connections.values():
+                total = conn.sends_per_tile * tiles
+                conn.arrival_first = [None] * total
+                conn.arrival_last = [None] * total
+                conn.free_times = [None] * total
+            for order, prog in enumerate(programs):
+                if prog.recs:
+                    loop.spawn(_tb_task_fast(prog, tiles, oh, sem_oh,
+                                             tracer, spans, graph),
+                               at=oh, order=order)
 
         elapsed = loop.run()
         for conn in connections.values():
@@ -670,11 +669,8 @@ class IrSimulator:
                 prog.rank = rank
                 prog.tb_id = tb.tb_id
                 prog.channel = tb.channel
-                prog.engine = engine
-                prog.engine_bw = engine.bandwidth
                 prog.sem = sem
                 prog.sem_signal = sem.signal
-                prog.n = len(tb.instructions)
                 prog.watched = key in watched
                 prog.out_conn = (
                     connections[(rank, tb.send_peer, tb.channel)]
@@ -684,7 +680,7 @@ class IrSimulator:
                     connections[(tb.recv_peer, rank, tb.channel)]
                     if tb.recv_peer is not None else None
                 )
-                prog.path_pairs = ()
+                path_pairs = ()
                 prog.alpha = 0.0
                 prog.cross = False
                 prog.label = None
@@ -693,7 +689,7 @@ class IrSimulator:
                         rank, tb.send_peer)
                     prog.alpha = alpha_base + proto.alpha_overhead
                     prog.cross = cross
-                    prog.path_pairs = tuple(
+                    path_pairs = tuple(
                         (res,
                          res.bandwidth
                          * (wire_eff * self._degradation(res.name)))
@@ -712,7 +708,6 @@ class IrSimulator:
                     nbytes_list = []
                 direct = self._direct
                 recs = []
-                meta = []
                 for step, instr in enumerate(instrs):
                     op = instr.op
                     nbytes = nbytes_list[step]
@@ -735,8 +730,7 @@ class IrSimulator:
                             if basis else None
                         )
                     deps = tuple(
-                        (semaphores[(rank, dep_tb)],
-                         semaphores[(rank, dep_tb)].times,
+                        (semaphores[(rank, dep_tb)].times,
                          semaphores[(rank, dep_tb)].signal,
                          tb_lengths[(rank, dep_tb)],
                          dep_step + 1,
@@ -747,13 +741,13 @@ class IrSimulator:
                                      if reduces else engine.bandwidth)
                     # Per-occurrence durations are tile-invariant;
                     # folding the divisions into the program keeps them
-                    # out of the fast generators (the floats are
+                    # out of the generator (the floats are
                     # bitwise-identical — same dividend, same divisor).
                     path_durs = None
                     if sends and wire_overhead is not None:
                         path_durs = tuple(
                             (res, nbytes / denom + wire_overhead)
-                            for res, denom in prog.path_pairs
+                            for res, denom in path_pairs
                         )
                     recs.append((
                         deps,
@@ -762,19 +756,15 @@ class IrSimulator:
                         op in LOCAL_OPS,
                         op in FUSED_SEND_OPS,
                         direct and not reduces,
-                        nbytes,
                         instr.recv_seq,
-                        wire_overhead,
-                        consume_denom,
-                        step + 1,
                         instr.has_dep,
                         nbytes / consume_denom,
                         nbytes / engine.bandwidth,
                         path_durs,
+                        (step, op.value, frozenset(instr.lineage or ()),
+                         nbytes),
                     ))
-                    meta.append((op.value, frozenset(instr.lineage or ())))
                 prog.recs = recs
-                prog.meta = meta
                 programs.append(prog)
         return programs
 
@@ -943,18 +933,18 @@ class IrSimulator:
                             # last byte (NVLink sends block on it).
                             _transfer_segments(segs, base, release,
                                                out_msg)
-                    yield ("at", release)
                 else:
-                    yield ("at", data_ready)
-
+                    release = data_ready
+                # The semaphore fence (if any) ends the occurrence; its
+                # publication is scheduled now, like FIFO deliveries.
+                boundary = release
                 if instr.has_dep:
-                    fence_from = loop.now
-                    yield ("delay", cfg.semaphore_overhead)
-                    if segs is not None and loop.now > fence_from:
-                        segs.append(Segment("overhead", fence_from,
-                                            loop.now))
-                my_sem.value = tile * n + step + 1
-                loop.notify(my_sem.signal)
+                    boundary = release + cfg.semaphore_overhead
+                    if segs is not None and boundary > release:
+                        segs.append(Segment("overhead", release, boundary))
+                self._spawn_progress(loop, my_sem, tile * n + step + 1,
+                                     boundary)
+                yield ("at", boundary)
                 if tracer is not None:
                     span = tracer.emit(
                         instr.op.value, instr_start, loop.now,
@@ -980,12 +970,20 @@ class IrSimulator:
             conn.freed_by[seq] = consumer
 
         def free():
-            yield ("at", when)
             conn.consumed.add(seq)
             conn.consumed_count += 1
             loop.notify(conn.slot_signal)
 
-        loop.spawn(free())
+        loop.call_at(when, free)
+
+    def _spawn_progress(self, loop: EventLoop, sem: _Semaphore,
+                        value: int, when: float) -> None:
+        """Publish a thread block's progress at its occurrence boundary."""
+        def publish():
+            sem.value = value
+            loop.notify(sem.signal)
+
+        loop.call_at(when, publish)
 
     def _launch_transfer(self, loop: EventLoop, src: int, dst: int,
                          nbytes: float, engine: Resource, conn: _Connection,
@@ -1065,11 +1063,10 @@ class IrSimulator:
             conn.messages[seq] = msg
 
         def deliver():
-            yield ("at", max(first_byte, loop.now))
             conn.arrivals[seq] = last_byte
             loop.notify(conn.arrival_signal)
 
-        loop.spawn(deliver())
+        loop.call_at(max(first_byte, loop.now), deliver)
         # InfiniBand sends complete asynchronously through the proxy: the
         # thread block only produces into the staging buffer. NVLink
         # sends occupy the thread block until the last byte is stored on
@@ -1094,8 +1091,8 @@ def _span_count(instr) -> int:
 
 
 def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
-                  sem_oh: float):
-    """The batched engine's hot path: one slim generator per thread block.
+                  sem_oh: float, tracer=None, spans=None, graph=None):
+    """The batched engine's thread-block body, traced or not.
 
     Resumed with the current virtual time (``now = yield ...``) at each
     occurrence's *check point* (instruction overhead after the previous
@@ -1113,14 +1110,23 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
     time through the published times (pure reads of final, monotone
     values). The generator then resumes once, at exactly the virtual
     time the reference loop's last wait would have resolved, and runs
-    its resource reservations there in heap order. Only a fact nobody
-    has published yet blocks; a
+    its resource reservations there in thread-block order. Only a fact
+    nobody has published yet blocks; a
     :data:`~repro.runtime.events.DIRECT_WAKE` action re-queues such
     already-blocked consumers straight at the fact's fire time (every
-    fast-path signal has a single publishing thread block). State exclusive to this thread block — its copy
-    engine's FCFS horizon, the in-order delivery clamp, the
-    issued/consumed counters — lives in locals, with the counters the
-    post-run balance check reads flushed on the final occurrence.
+    signal has a single publishing thread block). State exclusive to
+    this thread block — its copy engine's FCFS horizon, the in-order
+    delivery clamp, the issued/consumed counters — lives in locals,
+    with the counters the post-run balance check reads flushed on the
+    final occurrence.
+
+    With ``graph`` set (a traced run), two guarded recorder blocks
+    rebuild what :meth:`IrSimulator._tb_process` records: one span and
+    one :class:`ExecNode` per occurrence with the same segments, edges,
+    FIFO message-detail dicts, and ``wait.<label>_us`` counters (each
+    sampled at the occurrence's start). They only read values the body
+    computes anyway — the wait segments replay the wake lifts from the
+    published times — so tracing never changes the simulated time.
     """
     recs = prog.recs
     sem_times = prog.sem.times
@@ -1150,9 +1156,18 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
         out_free = out_conn.free_times
         out_arrival_signal = out_conn.arrival_signal
         slot_signal = out_conn.slot_signal
+    if graph is not None:
+        rank = prog.rank
+        tb_id = prog.tb_id
+        channel = prog.channel
+        label = prog.label
+        edges = graph.edges
+        add_counter = tracer.add_counter
+        track = (f"rank {rank}", f"tb {tb_id}")
     WAKEK = DIRECT_WAKE
     remaining = tiles * len(recs)
     pending = None
+    boundary = 0.0
 
     now = yield  # primed; first resumption arrives at the check point
     wake = now
@@ -1160,9 +1175,8 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
         if in_conn is not None:
             recv_base = tile * in_spt
         for rec in recs:
-            (deps, receives, sends, local, fused, direct_recv, _nbytes,
-             recv_seq, _wire_overhead, _consume_denom, _step1, has_dep,
-             consume_dur, produce_dur, path_durs) = rec
+            (deps, receives, sends, local, fused, direct_recv, recv_seq,
+             has_dep, consume_dur, produce_dur, path_durs, meta) = rec
 
             # -- wait chain: evaluated here, at the previous
             # occurrence's check point. `wake` starts at this
@@ -1174,7 +1188,7 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
             # if the producer still has not reached its check point
             # (it will see this waiter there and re-queue it with a
             # DIRECT_WAKE at the fact's fire time).
-            for _sem, dep_times, dep_signal, dep_len, base, _tb in deps:
+            for dep_times, dep_signal, dep_len, base, _tb in deps:
                 target = tile * dep_len + base
                 while len(dep_times) < target:
                     if pending is not None:
@@ -1240,8 +1254,57 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
                 now = yield wake
             # now == wake: the reference loop's last wait for this
             # occurrence resolved at exactly this virtual time; the
-            # reservations below run here, in heap order.
+            # reservations below run here, in the same-instant order
+            # both loops share (thread-block order).
             start = now
+            if graph is not None:
+                # Recorder, waits: every lift of `wake` above was the
+                # check point or a published time, and a blocked wait
+                # never lifts past the time it waits for, so replaying
+                # the published times in chain order rebuilds the
+                # reference loop's wait segments and edges.
+                instr_start = boundary
+                step, op_value, lineage, nbytes = meta
+                key = (rank, tb_id, tile, step)
+                segs = []
+                t = boundary + oh
+                if t > boundary:
+                    segs.append(Segment("overhead", boundary, t))
+                for dep_times, _signal, dep_len, base, dep_tb in deps:
+                    woke = dep_times[tile * dep_len + base - 1]
+                    if woke > t:
+                        # Released by the last publication at the wake.
+                        flat = bisect_right(dep_times, woke) - 1
+                        segs.append(Segment(
+                            "sem_wait", t, woke,
+                            cause=(rank, dep_tb, flat // dep_len,
+                                   flat % dep_len)))
+                        add_counter("wait.semaphore_us", woke - t,
+                                    t_us=start)
+                        t = woke
+                    edges.append(Edge("sem", (rank, dep_tb, tile, base - 1),
+                                      key, t))
+                if receives:
+                    msg = in_conn.messages[rt]
+                    producer = msg["producer"]
+                    woke = in_first[rt]
+                    if woke > t:
+                        segs.append(Segment("fifo_stall", t, woke,
+                                            cause=producer, detail=msg))
+                        add_counter("wait.fifo_arrival_us", woke - t,
+                                    t_us=start)
+                        t = woke
+                    edges.append(Edge("fifo", producer, key, t))
+                if sends:
+                    if send_seq >= slots:
+                        woke = out_free[send_seq - slots]
+                        if woke > t:
+                            freed = out_conn.freed_by[send_seq - slots]
+                            segs.append(Segment("slot_wait", t, woke,
+                                                cause=freed))
+                            edges.append(Edge("slot", freed, key, woke))
+                            add_counter("wait.fifo_slot_us", woke - t,
+                                        t_us=start)
             data_ready = start
             if receives:
                 if direct_recv:
@@ -1266,15 +1329,22 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
                     rstart = start if start >= engine_nf else engine_nf
                     produce_finish = rstart + produce_dur
                     engine_nf = produce_finish
+                # FCFS reservations; the bottleneck (first resource with
+                # the latest finish) is what the recorder attributes the
+                # wire time to.
                 wire_finish = 0.0
+                bottleneck = None
                 for res, dur in path_durs:
                     nf = res.next_free
                     rstart = start if start >= nf else nf
-                    finish = rstart + dur
-                    res.next_free = finish
+                    nf = rstart + dur
+                    res.next_free = nf
                     res.busy_time += dur
-                    if finish > wire_finish:
-                        wire_finish = finish
+                    if nf > wire_finish:
+                        wire_finish = nf
+                        bottleneck = res
+                        queue_at = rstart
+                        wire_us = dur
                 first_byte = start + alpha
                 peak = (wire_finish if wire_finish >= produce_finish
                         else produce_finish)
@@ -1310,6 +1380,64 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
                     actions = (actions + (wk,) if actions else (wk,))
 
             boundary = release + sem_oh if has_dep else release
+            if graph is not None:
+                # Recorder, execution: filed in the same resumption as
+                # the publications above, so a consumer that sees a
+                # published fact also finds its message / slot owner.
+                if receives:
+                    if direct_recv:
+                        if data_ready > start:
+                            _transfer_segments(segs, start, data_ready, msg)
+                    else:
+                        if finish > start:
+                            segs.append(Segment("compute", start, finish))
+                        if data_ready > finish:
+                            # Tail of the incoming message still
+                            # streaming in past the consume pass.
+                            _transfer_segments(segs, finish, data_ready,
+                                               msg)
+                    in_conn.freed_by[rt] = key
+                elif local and data_ready > start:
+                    segs.append(Segment("compute", start, data_ready))
+                if sends:
+                    if bottleneck is None:  # nothing reserved past t=0
+                        queue_at = start
+                        wire_us = 0.0
+                    out_msg = {
+                        "producer": key,
+                        "seq": send_seq,
+                        "stream_start": start,
+                        "first_byte": first_byte,
+                        "last_byte": last_byte,
+                        "produce_finish": produce_finish,
+                        "queue_us": queue_at - start,
+                        "wire_us": wire_us,
+                        "alpha": alpha,
+                        "resource": (bottleneck.name
+                                     if bottleneck is not None else None),
+                        "label": label,
+                    }
+                    out_conn.messages[send_seq] = out_msg
+                    if not fused and produce_finish > start:
+                        segs.append(Segment("compute", start,
+                                            produce_finish))
+                    base_t = (produce_finish if produce_finish >= data_ready
+                              else data_ready)
+                    if release > base_t:
+                        # Wire occupancy until the peer holds the last
+                        # byte (NVLink sends block on it).
+                        _transfer_segments(segs, base_t, release, out_msg)
+                if boundary > release:
+                    segs.append(Segment("overhead", release, boundary))
+                spans.append(tracer.emit(
+                    op_value, instr_start, boundary, cat="instr",
+                    track=track, track_ids=(rank, tb_id),
+                    rank=rank, tb=tb_id, channel=channel,
+                    step=step, tile=tile, nbytes=nbytes,
+                ))
+                graph.add_node(ExecNode(key, op_value, channel, nbytes,
+                                        instr_start, boundary, segs,
+                                        lineage))
             if watched:
                 sem_times.append(boundary)
                 if sem_signal._waiters:
@@ -1328,244 +1456,6 @@ def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
                     in_conn.consumed_count = consumed
                 if out_conn is not None:
                     out_conn.issued = issued
-                if actions is not None:
-                    yield (actions, boundary)
-                else:
-                    yield boundary
-                return
-
-
-def _tb_task_recording(prog: _TbProgram, tiles: int, oh: float,
-                       sem_oh: float, tracer, spans, graph):
-    """The batched engine's traced path.
-
-    Identical scheduling to :func:`_tb_task_fast` plus the exact
-    recording of :meth:`IrSimulator._tb_process`: one span and one
-    :class:`ExecNode` per occurrence, the same segments, edges, and
-    FIFO message-detail dicts. Interval boundaries the reference loop
-    observes on its release/fence resumptions (which the batched
-    engine never takes) are recorded from the computed values instead
-    — the floats are identical by construction.
-    """
-    recs = prog.recs
-    metas = prog.meta
-    rank = prog.rank
-    tb_id = prog.tb_id
-    channel = prog.channel
-    engine = prog.engine
-    engine_bw = prog.engine_bw
-    sem = prog.sem
-    sem_signal = prog.sem_signal
-    n = prog.n
-    watched = prog.watched
-    out_conn = prog.out_conn
-    in_conn = prog.in_conn
-    path_pairs = prog.path_pairs
-    alpha = prog.alpha
-    cross = prog.cross
-    label = prog.label
-    edges = graph.edges
-    track = (f"rank {rank}", f"tb {tb_id}")
-    remaining = tiles * len(recs)
-    boundary = 0.0
-
-    now = yield  # primed; first resumption arrives at the check point
-    for tile in range(tiles):
-        for step, rec in enumerate(recs):
-            (deps, receives, sends, local, fused, direct_recv, nbytes,
-             recv_seq, wire_overhead, consume_denom, step1, has_dep,
-             _consume_dur, _produce_dur, _path_durs) = rec
-            key = (rank, tb_id, tile, step)
-            segs = []
-            instr_start = boundary
-            if now > instr_start:
-                segs.append(Segment("overhead", instr_start, now))
-
-            for dep_sem, _dep_times, dep_signal, dep_len, base, \
-                    dep_tb in deps:
-                target = tile * dep_len + base
-                wait_from = now
-                while dep_sem.value < target:
-                    now = yield dep_signal
-                edges.append(Edge("sem", (rank, dep_tb, tile, base - 1),
-                                  key, now))
-                if now > wait_from:
-                    flat = dep_sem.value - 1
-                    cause = (rank, dep_tb, flat // dep_len,
-                             flat % dep_len)
-                    segs.append(Segment("sem_wait", wait_from, now,
-                                        cause=cause))
-
-            msg_last = None
-            msg = None
-            rt = None
-            if receives:
-                rt = tile * in_conn.sends_per_tile + recv_seq
-                wait_from = now
-                while rt not in in_conn.arrivals:
-                    now = yield in_conn.arrival_signal
-                msg_last = in_conn.arrivals[rt]
-                msg = in_conn.messages.get(rt)
-                producer = msg["producer"] if msg else None
-                edges.append(Edge("fifo", producer, key, now))
-                if now > wait_from:
-                    segs.append(Segment("fifo_stall", wait_from, now,
-                                        cause=producer, detail=msg))
-            if sends:
-                send_seq = out_conn.issued
-                slots = out_conn.slots
-                wait_from = now
-                while (send_seq >= slots
-                       and (send_seq - slots) not in out_conn.consumed):
-                    now = yield out_conn.slot_signal
-                if now > wait_from:
-                    freed = out_conn.freed_by.get(send_seq - slots)
-                    segs.append(Segment("slot_wait", wait_from, now,
-                                        cause=freed))
-                    edges.append(Edge("slot", freed, key, now))
-                out_conn.issued = send_seq + 1
-
-            start = now
-            data_ready = start
-            actions = None
-            if receives:
-                if direct_recv:
-                    data_ready = start if start >= msg_last else msg_last
-                    if data_ready > start:
-                        _transfer_segments(segs, start, data_ready, msg)
-                else:
-                    nf = engine.next_free
-                    rstart = start if start >= nf else nf
-                    dur = nbytes / consume_denom
-                    finish = rstart + dur
-                    engine.next_free = finish
-                    engine.busy_time += dur
-                    data_ready = finish if finish >= msg_last else msg_last
-                    if finish > start:
-                        segs.append(Segment("compute", start, finish))
-                    if data_ready > finish:
-                        _transfer_segments(segs, finish, data_ready, msg)
-                in_conn.freed_by[rt] = key
-                actions = [(FREE, data_ready, (in_conn, rt))]
-            elif local:
-                nf = engine.next_free
-                rstart = start if start >= nf else nf
-                dur = nbytes / consume_denom
-                data_ready = rstart + dur
-                engine.next_free = data_ready
-                engine.busy_time += dur
-                if data_ready > start:
-                    segs.append(Segment("compute", start, data_ready))
-
-            if sends:
-                if wire_overhead is None:
-                    raise ZeroDivisionError("float division by zero")
-                if fused:
-                    produce_finish = data_ready
-                else:
-                    nf = engine.next_free
-                    rstart = start if start >= nf else nf
-                    dur = nbytes / engine_bw
-                    produce_finish = rstart + dur
-                    engine.next_free = produce_finish
-                    engine.busy_time += dur
-                wire_finish = 0.0
-                queue_us = 0.0
-                service_us = 0.0
-                bottleneck = None
-                for res, denom in path_pairs:
-                    nf = res.next_free
-                    rstart = start if start >= nf else nf
-                    dur = nbytes / denom + wire_overhead
-                    finish = rstart + dur
-                    res.next_free = finish
-                    res.busy_time += dur
-                    if finish > wire_finish:
-                        wire_finish = finish
-                        queue_us = rstart - start
-                        service_us = dur
-                        bottleneck = res.name
-                first_byte = start + alpha
-                peak = (wire_finish if wire_finish >= produce_finish
-                        else produce_finish)
-                last_byte = peak + alpha
-                prev = out_conn.prev_first
-                if first_byte < prev:
-                    first_byte = prev
-                prev = out_conn.prev_last
-                if last_byte < prev:
-                    last_byte = prev
-                if last_byte < first_byte:
-                    last_byte = first_byte
-                out_conn.prev_first = first_byte
-                out_conn.prev_last = last_byte
-                out_msg = {
-                    "producer": key,
-                    "seq": send_seq,
-                    "stream_start": start,
-                    "first_byte": first_byte,
-                    "last_byte": last_byte,
-                    "produce_finish": produce_finish,
-                    "queue_us": queue_us,
-                    "wire_us": service_us,
-                    "alpha": alpha,
-                    "resource": bottleneck,
-                    "label": label,
-                }
-                out_conn.messages[send_seq] = out_msg
-                if cross:
-                    release = (produce_finish
-                               if produce_finish >= data_ready
-                               else data_ready)
-                else:
-                    drained = last_byte - alpha
-                    release = (drained if drained >= data_ready
-                               else data_ready)
-                if not fused and produce_finish > start:
-                    segs.append(Segment("compute", start, produce_finish))
-                base_t = (produce_finish if produce_finish >= data_ready
-                          else data_ready)
-                if release > base_t:
-                    _transfer_segments(segs, base_t, release, out_msg)
-                deliver = (DELIVER, first_byte,
-                           (out_conn, send_seq, last_byte))
-                if actions is None:
-                    actions = (deliver,)
-                else:
-                    actions.append(deliver)
-                    actions = tuple(actions)
-            else:
-                release = data_ready
-                if actions is not None:
-                    actions = tuple(actions)
-
-            boundary = release + sem_oh if has_dep else release
-            if boundary > release:
-                segs.append(Segment("overhead", release, boundary))
-            if watched:
-                sem_act = (SEM, boundary,
-                           (sem, tile * n + step1, sem_signal))
-                actions = (actions + (sem_act,) if actions
-                           else (sem_act,))
-
-            op_value, lineage = metas[step]
-            span = tracer.emit(
-                op_value, instr_start, boundary, cat="instr",
-                track=track, track_ids=(rank, tb_id),
-                rank=rank, tb=tb_id, channel=channel,
-                step=step, tile=tile, nbytes=nbytes,
-            )
-            spans.append(span)
-            graph.add_node(ExecNode(key, op_value, channel, nbytes,
-                                    instr_start, boundary, segs,
-                                    lineage))
-            remaining -= 1
-            if remaining:
-                if actions is not None:
-                    now = yield (actions, boundary + oh)
-                else:
-                    now = yield boundary + oh
-            else:
                 if actions is not None:
                     yield (actions, boundary)
                 else:

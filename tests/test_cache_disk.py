@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core import cache as cache_module
 from repro.core import (
     CompileCache,
     CompilerOptions,
@@ -19,6 +20,7 @@ from repro.core.cache import (
     reset_default_compile_cache,
 )
 from repro.core.collectives import AllReduce, Custom
+from repro.core.pipeline import DefaultSchedulerPolicy, Pass, default_pipeline
 from tests.conftest import build_ring_allreduce
 
 
@@ -67,6 +69,29 @@ class TestDiskRoundTrip:
             assert again.last_hit_tier == "disk"
         finally:
             reset_default_compile_cache()
+
+    def test_compiler_change_misses(self, tmp_path, monkeypatch):
+        # Entries written by other compiler code (edited passes, another
+        # IR format) must never be served.
+        _compile_cached(CompileCache(disk=DiskCacheTier(tmp_path)))
+        monkeypatch.setattr(cache_module, "compiler_digest",
+                            lambda: "an edited compiler")
+        fresh = CompileCache(disk=DiskCacheTier(tmp_path))
+        assert not _compile_cached(fresh).cache_hit
+        assert fresh.disk.hits == 0 and fresh.disk.misses == 1
+        assert fresh.disk.entry_count() == 2
+
+    def test_compiler_digest_tracks_ir_format(self, monkeypatch):
+        before = cache_module.compiler_digest()
+        monkeypatch.setattr(cache_module, "IR_FORMAT_VERSION",
+                            cache_module.IR_FORMAT_VERSION + 1)
+        cache_module.compiler_digest.cache_clear()
+        try:
+            assert cache_module.compiler_digest() != before
+        finally:
+            monkeypatch.undo()
+            cache_module.compiler_digest.cache_clear()
+        assert cache_module.compiler_digest() == before
 
 
 class TestCorruptEntries:
@@ -306,6 +331,47 @@ class TestCustomCollectives:
         doc = collective_to_doc(AllReduce(8, chunk_factor=8,
                                           in_place=True))
         assert doc["kind"] == "AllReduce"
+
+
+class _CountingPass(Pass):
+    """A pass defined outside repro.core: the compiler digest misses it."""
+
+    name = "count"
+
+    def run(self, state):
+        pass
+
+
+class _CustomPolicy(DefaultSchedulerPolicy):
+    policy_key = "custom"
+
+
+class TestCustomCompilerCode:
+    """Compiles through code outside repro.core never touch the disk."""
+
+    @pytest.mark.parametrize("options", [
+        {"pipeline": default_pipeline().insert_after("fuse",
+                                                     _CountingPass())},
+        {"scheduler": _CustomPolicy()},
+    ], ids=["custom-pass", "custom-policy"])
+    def test_stays_memory_only(self, tmp_path, options):
+        def compile_with(cache):
+            return compile_program(build_ring_allreduce(4), CompilerOptions(
+                cache=cache, **options))
+
+        cache = CompileCache(disk=DiskCacheTier(tmp_path))
+        compile_with(cache)
+        assert compile_with(cache).cache_hit
+        assert cache.last_hit_tier == "memory"
+        assert cache.disk.entry_count() == 0
+        fresh = CompileCache(disk=DiskCacheTier(tmp_path))
+        assert not compile_with(fresh).cache_hit
+
+    def test_core_pipeline_is_persisted(self, tmp_path):
+        cache = CompileCache(disk=DiskCacheTier(tmp_path))
+        compile_program(build_ring_allreduce(4), CompilerOptions(
+            cache=cache, pipeline=default_pipeline().remove("fuse")))
+        assert cache.disk.entry_count() == 1
 
 
 class TestDefaultDirectory:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.runtime.events import EventLoop, Signal
+from repro.runtime.events import (DIRECT_WAKE, BatchEventLoop, EventLoop,
+                                  Signal)
 
 
 class TestEventLoop:
@@ -130,3 +131,67 @@ class TestEventLoop:
 
     def test_empty_run_finishes_at_zero(self):
         assert EventLoop().run() == 0.0
+
+
+class TestSameInstantOrder:
+    def test_ordered_processes_run_by_order(self):
+        loop = EventLoop()
+        ran = []
+
+        def proc(name, delay):
+            yield ("delay", delay)
+            ran.append(name)
+
+        loop.spawn(proc("b", 5), order=2)
+        loop.spawn(proc("a", 5), order=1)
+        loop.spawn(proc("early", 4), order=3)
+        loop.run()
+        assert ran == ["early", "a", "b"]
+
+    def test_publications_run_first_and_wake_by_order(self):
+        loop = EventLoop()
+        signal = Signal()
+        ran = []
+
+        def checker(name):
+            yield ("at", 5)
+            ran.append(name)
+
+        def waiter(name):
+            yield ("wait", signal)
+            ran.append(name)
+
+        def publish():
+            yield ("at", 5)
+            ran.append("publish")
+            loop.notify(signal)
+
+        loop.spawn(waiter("w0"), order=0)
+        loop.spawn(checker("c1"), order=1)
+        loop.spawn(waiter("w2"), order=2)
+        loop.spawn(publish())  # scheduled last, runs first at t=5
+        loop.run()
+        assert ran == ["publish", "w0", "c1", "w2"]
+
+    def test_batched_loop_orders_wakes_the_same_way(self):
+        loop = BatchEventLoop()
+        signal = Signal()
+        ran = []
+
+        def waiter(name):
+            now = yield
+            now = yield signal
+            ran.append((name, now))
+
+        def producer():
+            now = yield
+            ran.append(("produce", now))
+            yield ((DIRECT_WAKE, 5.0, signal),), 5.0
+            ran.append(("producer", 5.0))
+
+        loop.spawn(waiter("w2"), at=0.0, order=2)
+        loop.spawn(waiter("w0"), at=0.0, order=0)
+        loop.spawn(producer(), at=1.0, order=1)
+        assert loop.run() == 5.0
+        assert ran == [("produce", 1.0), ("w0", 5.0), ("producer", 5.0),
+                       ("w2", 5.0)]

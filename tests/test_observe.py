@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.algorithms import allpairs_allreduce, double_binary_tree_allreduce
 from repro.core import CompilerOptions, compile_program
 from repro.core.compiler import CompiledAlgorithm
 from repro.core.errors import RuntimeConfigError
@@ -240,6 +241,36 @@ class TestSimulatorTracing:
         waits = [n for n in tracer.counters if n.startswith("wait.")]
         assert "wait.fifo_arrival_us" in waits
         assert all(tracer.counters[n] >= 0 for n in waits)
+
+    @pytest.mark.parametrize("program, topo", [
+        # Many thread blocks block on semaphores and FIFO arrivals at once.
+        (allpairs_allreduce(8, instances=4, protocol="LL"), ndv4(1)),
+        # Occurrences wait on a semaphore and then on a FIFO arrival.
+        (double_binary_tree_allreduce(8, instances=2), generic(8)),
+    ], ids=["allpairs", "double-tree"])
+    def test_wait_counter_samples_are_monotone(self, program, topo):
+        # Exporters plot each sample's running total at its t_us, so a
+        # counter's samples must rise in both.
+        algo = compile_program(program)
+        totals = {}
+        for engine in ("batched", "reference"):
+            tracer = Tracer()
+            IrSimulator(algo.ir, topo, config=SimConfig(
+                tracer=tracer, engine=engine,
+            )).run(chunk_bytes=4 * MiB / algo.sizing_chunks())
+            samples = {}
+            for sample in tracer.counter_samples:
+                if sample.name.startswith("wait."):
+                    samples.setdefault(sample.name, []).append(
+                        (sample.t_us, sample.value))
+            assert "wait.semaphore_us" in samples
+            for name, series in samples.items():
+                assert series == sorted(series), (engine, name)
+                assert all(a[1] <= b[1]
+                           for a, b in zip(series, series[1:]))
+            totals[engine] = {n: tracer.counters[n] for n in samples}
+        for name, total in totals["batched"].items():
+            assert total == pytest.approx(totals["reference"][name])
 
     def test_link_busy_counters_recorded(self):
         tracer = Tracer()

@@ -203,6 +203,20 @@ class TestCompileCache:
         assert cache.stats()["misses"] == 3
         assert cache.stats()["hits"] == 0
 
+    def test_custom_pipeline_misses_default_entry(self):
+        cache = CompileCache()
+        fused = compile_program(ring_allreduce(4), CompilerOptions(
+            cache=cache))
+        unfused = compile_program(ring_allreduce(4), CompilerOptions(
+            cache=cache, pipeline=default_pipeline().remove("fuse")))
+        assert not unfused.cache_hit
+        assert unfused.ir.instruction_count() == 48
+        assert fused.ir.instruction_count() == 28
+        # The default pipeline passed explicitly is the same compile.
+        explicit = compile_program(ring_allreduce(4), CompilerOptions(
+            cache=cache, pipeline=default_pipeline()))
+        assert explicit.cache_hit
+
     def test_different_programs_miss(self):
         cache = CompileCache()
         options = CompilerOptions(cache=cache)

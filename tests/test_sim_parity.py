@@ -19,6 +19,7 @@ from repro.core import AllToAllV, compile_program
 from repro.core.errors import SimulationError
 from repro.algorithms import (allpairs_allreduce,
                               double_binary_tree_allreduce, ring_allreduce)
+from repro.observe import diagnose
 from repro.runtime.protocols import LL, LL128, SIMPLE
 from repro.runtime.simulator import (IrSimulator, SimConfig,
                                      happens_before_pairs,
@@ -86,6 +87,7 @@ def _assert_parity(ir, topo, proto, chunk_bytes, **cfg_kwargs):
     diffs = sim_parity_diffs(traced_b, traced_r)
     assert not diffs, diffs
     assert traced_b.time_us == fast_b.time_us
+    assert traced_b.resource_busy_us == fast_b.resource_busy_us
     assert (happens_before_pairs(traced_b.graph)
             == happens_before_pairs(traced_r.graph))
 
@@ -144,30 +146,62 @@ class TestEngineSelection:
             sim.run(chunk_bytes=64.0 * KiB)
 
 
-class TestKnownParityBug:
-    """Pinned: the untraced batched body breaks parity on all-pairs LL.
+#: All-pairs LL points where many thread blocks reach one link at the
+#: same instant (on ``ndv4(1)``, 24 reservations of ``nvlink_out[0]``
+#: at t = 11.0027 us), so the simulated time depends on the tie order.
+SAME_INSTANT_ALLPAIRS_LL = pytest.mark.parametrize(
+    "topo, instances, chunks", [
+        (generic(8), 2, 1),  # 4 MiB per chunk: 1541.80 us
+        (ndv4(1), 4, None),  # 4 MiB buffer: 120.433 us
+    ], ids=["generic8-r2", "ndv4-r4"])
 
-    When several semaphore waiters wake at the same virtual instant,
-    the untraced fast body reserves a shared link in a different
-    first-come-first-served order than the reference loop (on
-    ``ndv4(1)``, 24 reservations of ``nvlink_out[0]`` at
-    t = 11.0027 us), so the simulated time moves. The traced recording
-    body still matches the reference, which means turning tracing on
-    changes the answer. Strict xfail: fixing the bug flips this test.
+
+def _allpairs_ll(instances, chunks):
+    algo = compile_program(
+        allpairs_allreduce(8, instances=instances, protocol="LL"))
+    return algo.ir, 4.0 * 1024 * KiB / (chunks or algo.sizing_chunks())
+
+
+@SAME_INSTANT_ALLPAIRS_LL
+def test_tracing_never_changes_the_answer(topo, instances, chunks):
+    """Traced and untraced batched runs share one thread-block body."""
+    ir, chunk_bytes = _allpairs_ll(instances, chunks)
+
+    def run(traced):
+        return IrSimulator(ir, topo, LL, SimConfig(
+            collect_trace=traced)).run(chunk_bytes)
+
+    fast, traced = run(False), run(True)
+    assert traced.time_us == fast.time_us
+    assert traced.resource_busy_us == fast.resource_busy_us
+    assert diagnose(traced).time_us == fast.time_us
+    assert traced.graph.path_total_us() == pytest.approx(fast.time_us)
+
+
+class TestSameInstantTies:
+    """Both engines serve same-instant link reservations in TB order.
+
+    Publications due at an instant apply first; thread blocks then run
+    in (rank, thread block) order. These runs put many same-instant
+    reservations on shared links, where any other order moves the
+    simulated time, occurrence intervals, or per-message bottleneck
+    attribution.
     """
 
-    @pytest.mark.xfail(strict=True,
-                       reason="untraced batched FCFS order differs from "
-                              "the reference on same-instant wakes")
-    @pytest.mark.parametrize("topo, instances, chunks", [
-        (generic(8), 2, 1),  # 4 MiB per chunk: 1540.73 vs 1542.04 us
-        (ndv4(1), 4, None),  # 4 MiB buffer: 120.913 vs 120.870 us
-    ], ids=["generic8-r2", "ndv4-r4"])
-    def test_untraced_allpairs_ll(self, topo, instances, chunks):
-        algo = compile_program(
-            allpairs_allreduce(8, instances=instances, protocol="LL"))
-        chunk_bytes = 4.0 * 1024 * KiB / (chunks or algo.sizing_chunks())
-        _assert_parity(algo.ir, topo, LL, chunk_bytes)
+    @SAME_INSTANT_ALLPAIRS_LL
+    def test_allpairs_ll(self, topo, instances, chunks):
+        ir, chunk_bytes = _allpairs_ll(instances, chunks)
+        _assert_parity(ir, topo, LL, chunk_bytes)
+
+    @pytest.mark.parametrize("ir, proto, chunk_kib", [
+        # What the conformance engine-parity round simulates.
+        (compile_program(allpairs_allreduce(4)).ir, SIMPLE, 64),
+        # A property-suite draw with skewed counts.
+        (_family_ir("alltoallv", 4, 0), LL, 16),
+    ], ids=["allpairs4-simple", "alltoallv-ll"])
+    def test_traced_graph(self, ir, proto, chunk_kib):
+        _assert_parity(ir, generic(ir.num_ranks), proto,
+                       float(chunk_kib * KiB))
 
 
 class TestTileCountBasis:
